@@ -1,12 +1,12 @@
 /**
  * @file
- * Stable 64-bit FNV-1a hashing for cache keys and wire digests. The
+ * Stable 64-bit FNV-1a hashing for cache keys and content digests. The
  * byte stream fed to the hash is defined field-by-field by each
  * caller (never raw struct memory), so digests are independent of
  * padding, endianness of the host is normalized to little-endian
  * word folding, and a value produced today matches one produced by a
- * different build tomorrow — the property the service result cache
- * depends on.
+ * different build tomorrow — the property hostbench's golden digests
+ * depend on.
  */
 
 #ifndef IWC_COMMON_HASH_HH

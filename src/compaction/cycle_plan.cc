@@ -99,6 +99,12 @@ planCycles(Mode mode, const ExecShape &shape)
     const unsigned gw = groupWidth(shape.simdWidth, shape.elemBytes);
     const unsigned n_groups = numGroups(shape.simdWidth, shape.elemBytes);
     const LaneMask mask = shape.maskedExec();
+    // identitySlot fills kMaxGroupWidth-sized lane arrays; the same
+    // bound planScc checks.
+    panic_if(gw > kMaxGroupWidth,
+             "cycle plan: group width %u exceeds %u (element size %u "
+             "below the ISA minimum?)",
+             gw, kMaxGroupWidth, shape.elemBytes);
 
     if (mode == Mode::Scc)
         return planScc(shape);

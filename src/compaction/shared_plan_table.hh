@@ -6,13 +6,14 @@
  * per-EU PlanCache used to recompute them per launch. The shared
  * table is the second level behind those per-EU caches: an L1 miss
  * consults it before falling back to the planCycleCount/planScc
- * computation, so SweepRunner jobs, daemon workers, and multi-mode
- * compare runs plan each (width, elem, mask) shape once per process.
+ * computation, so SweepRunner jobs and multi-mode compare runs plan
+ * each (width, elem, mask) shape once per process.
  *
  * The per-EU caches stay in front on purpose: their hit/miss counts
- * are wire-encoded into LaunchStats and must remain a pure function
- * of the request (daemon cache soundness), so per-run counters cannot
- * observe cross-run table state. The shared table's own counters are
+ * are reported in LaunchStats, which must remain a pure function of
+ * the request (the engine-parity and capture/replay tests compare
+ * every field bit for bit), so per-run counters cannot observe
+ * cross-run table state. The shared table's own counters are
  * process totals for observability only.
  *
  * Concurrency: direct-mapped slots hold the packed costs in one

@@ -4,17 +4,16 @@
  * the kernel bytes, yet before this cache every ExecBackend (one per
  * EU per launch, six per launch, and one per functional run) redid the
  * full predecode pass. The cache keys on Kernel::digest() — the same
- * stable 64-bit digest the service result cache uses — and hands out
- * shared immutable entries, so SweepRunner jobs, iwc_simd daemon
- * workers, and multi-mode compare runs decode each distinct kernel
- * once per process. Entries own a copy of the kernel because
+ * stable 64-bit digest RunResult::kernelDigest reports — and hands out
+ * shared immutable entries, so SweepRunner jobs and multi-mode compare
+ * runs decode each distinct kernel once per process. Entries own a copy of the kernel because
  * DecodedInstr::instr points into the source kernel's instruction
  * storage; tying both lifetimes into one shared entry keeps those
  * pointers valid for as long as any backend holds the entry.
  *
- * Hit/miss counters are process totals for observability (the daemon
- * stats frame, perf tooling, tests); they never feed back into
- * per-run LaunchStats, which must stay a pure function of the request.
+ * Hit/miss counters are process totals for observability (perf
+ * tooling, hostbench, tests); they never feed back into per-run
+ * LaunchStats, which must stay a pure function of the request.
  */
 
 #ifndef IWC_FUNC_PREDECODE_CACHE_HH

@@ -129,9 +129,9 @@ numField(const char *key, T mem::MemConfig::*member)
 /**
  * Every simulation-relevant config field in canonical order. New
  * fields must be appended here or encodeCanonical silently under-
- * specifies the cache key (test_svc's sensitivity test walks this
- * table, so a field that is added but not listed still fails CI when
- * it is exercised through the digest test's mutation set).
+ * specifies the cache key (ConfigDigest.EveryFieldChangesTheDigest
+ * in tests/test_run_harness.cc mutates one field per entry, so keep
+ * its mutation list in step with this table).
  */
 const std::vector<Field> &
 fieldTable()

@@ -87,14 +87,15 @@ SimEngine parseSimEngine(const std::string &name);
  * result). Two configs encode identically iff they simulate
  * identically, regardless of how or in what order their fields were
  * assigned, so the encoding (and its digest) is the config half of
- * the service cache key and the form a config crosses the wire in.
+ * run::CacheKey.
  */
 std::string encodeCanonical(const GpuConfig &config);
 
 /**
  * Strict inverse of encodeCanonical: parses the canonical text back
  * into a config. Returns false (leaving @p out unspecified) on any
- * unknown key, malformed value, or unsupported version line.
+ * unknown key, malformed value, or unsupported version line. Only
+ * the tests call it; ROADMAP item 7 schedules its removal.
  */
 bool decodeCanonical(const std::string &text, GpuConfig &out);
 

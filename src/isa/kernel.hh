@@ -106,8 +106,8 @@ class Kernel
      * SIMD width, every instruction field, argument layout, and SLM
      * size (the display name is excluded). Serialized field-by-field,
      * so the value is independent of struct padding and identical
-     * across builds — usable as the kernel half of a service cache
-     * key and as a wire-level identity check.
+     * across builds — the PredecodeCache key and
+     * RunResult::kernelDigest.
      */
     std::uint64_t digest() const;
 

@@ -53,8 +53,10 @@ renderText(const Report &report, const isa::Kernel *kernel)
     }
     for (const Diag &d : report.diags) {
         out += report.kernel;
-        if (d.ip >= 0)
-            out += "@" + std::to_string(d.ip);
+        if (d.ip >= 0) {
+            out += '@';
+            out += std::to_string(d.ip);
+        }
         out += ": ";
         out += severityName(d.severity);
         out += " [";

@@ -9,7 +9,6 @@
 #include "trace/synthetic.hh"
 #include "trace/trace.hh"
 #include "tracestream/analyze.hh"
-#include "tracestream/writer.hh"
 #include "workloads/registry.hh"
 #include "xform/meld.hh"
 
@@ -28,8 +27,7 @@ buildWorkload(const RunRequest &request, gpu::Device &dev)
 }
 
 trace::TraceAnalysis
-analyzeBuilt(gpu::Device &dev, const workloads::Workload &w,
-             tracestream::ChunkedTraceWriter *capture = nullptr)
+analyzeBuilt(gpu::Device &dev, const workloads::Workload &w)
 {
     trace::TraceAnalyzer analyzer;
     // Every TraceRecord field except execMask is a pure function of
@@ -49,27 +47,11 @@ analyzeBuilt(gpu::Device &dev, const workloads::Workload &w,
             trace::TraceRecord r = tmpl[step.ip];
             r.execMask = step.result->execMask & width_mask[step.ip];
             analyzer.add(r);
-            if (capture != nullptr)
-                capture->append(r);
         });
     return analyzer.result();
 }
 
 } // namespace
-
-std::uint64_t
-CacheKey::hash() const
-{
-    Fnv64 h;
-    h.add(workloadDigest);
-    h.add(configDigest);
-    h.add(scale);
-    h.addByte(kind);
-    h.addByte(backend);
-    h.addByte(flags);
-    h.addByte(modeMask);
-    return h.value();
-}
 
 std::uint8_t
 normalizedCompareModes(std::uint8_t modes)
@@ -83,8 +65,7 @@ normalizedCompareModes(std::uint8_t modes)
 std::optional<CacheKey>
 cacheKeyFor(const RunRequest &request)
 {
-    if (request.trace || !request.captureTo.empty() ||
-        request.kind == JobKind::FileTrace)
+    if (request.trace || request.kind == JobKind::FileTrace)
         return std::nullopt;
 
     CacheKey key;
@@ -247,16 +228,7 @@ executeRun(const RunRequest &request)
         result.kernelDigest = w.kernel.digest();
         if (request.lint)
             lint::verifyOrDie(w.kernel);
-        if (!request.captureTo.empty()) {
-            tracestream::WriterOptions wo;
-            wo.name = result.label;
-            tracestream::ChunkedTraceWriter capture(request.captureTo,
-                                                    std::move(wo));
-            result.analysis = analyzeBuilt(dev, w, &capture);
-            capture.finish();
-        } else {
-            result.analysis = analyzeBuilt(dev, w);
-        }
+        result.analysis = analyzeBuilt(dev, w);
         return result;
       }
       case JobKind::SyntheticTrace: {

@@ -87,9 +87,9 @@ struct RunRequest
      * cache key from it; the caller asserts one here ("every request
      * with this tag, scale, and config builds the same workload").
      * Empty (the default) means "no cache identity": such requests
-     * are uncacheable, and the service daemon rejects them outright
-     * rather than silently re-simulating (see svc::Engine). Ignored
-     * for registry requests, whose name is already their identity.
+     * are uncacheable, so SweepRunner never groups them into a shared
+     * compare job. Ignored for registry requests, whose name is
+     * already their identity.
      */
     std::string cacheTag;
     unsigned scale = 1;
@@ -107,13 +107,6 @@ struct RunRequest
     std::string tracePath;
     /** Analyzer shards for container FileTrace requests (0 = 1). */
     unsigned traceJobs = 1;
-    /**
-     * FunctionalTrace only: also persist the captured mask trace as a
-     * chunked container at this path (bounded memory, written while
-     * the analysis runs). Makes the request uncacheable — a cache hit
-     * would skip the side effect. Empty = no capture.
-     */
-    std::string captureTo;
     /** Timing only: run the host-side reference check after launch. */
     bool checkOutput = false;
     /**
@@ -189,9 +182,6 @@ struct CacheKey
     std::uint8_t modeMask = 0;
 
     bool operator==(const CacheKey &) const = default;
-
-    /** Stable 64-bit fold of the key (map hashing / wire export). */
-    std::uint64_t hash() const;
 };
 
 /**
@@ -205,9 +195,8 @@ std::uint8_t normalizedCompareModes(std::uint8_t modes);
  * must not be served from a cache: factory requests without a
  * cacheTag (opaque builder, no asserted identity), tracing requests
  * (their value is the event stream, which is unique to an execution),
- * capture requests (the on-disk trace is a side effect a cache hit
- * would skip), and file-trace requests (the key cannot see the
- * file's contents, so equal paths do not imply equal results).
+ * and file-trace requests (the key cannot see the file's contents, so
+ * equal paths do not imply equal results).
  */
 std::optional<CacheKey> cacheKeyFor(const RunRequest &request);
 
@@ -221,8 +210,8 @@ struct RunResult
     /**
      * isa::Kernel::digest() of the kernel the job built and ran; 0
      * for synthetic-trace jobs, which have no kernel. Lets callers
-     * (and the service protocol) verify that two runs claiming the
-     * same cache identity really executed the same instructions.
+     * verify that two runs claiming the same cache identity really
+     * executed the same instructions.
      */
     std::uint64_t kernelDigest = 0;
 

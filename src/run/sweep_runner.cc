@@ -36,8 +36,6 @@ cacheKey(const RunRequest &request)
 {
     if (request.factory)
         return {}; // opaque builder: never shared
-    if (!request.captureTo.empty())
-        return {}; // capture is a side effect sharing would skip
     if (request.kind == JobKind::FunctionalTrace)
         return "w:" + request.workload + "@" +
                std::to_string(request.scale) +
@@ -87,7 +85,7 @@ modeBlindKeyFor(const RunRequest &request)
     blind.config.eu.mode = compaction::Mode::Baseline;
     const auto key = cacheKeyFor(blind);
     if (!key)
-        return std::nullopt; // traced/opaque/side-effecting: never shared
+        return std::nullopt; // traced or opaque: never shared
     return ModeBlindKey{*key};
 }
 

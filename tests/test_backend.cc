@@ -215,9 +215,10 @@ TEST(BackendDifferential, MacroSteppingMatchesSingleStepping)
         const std::uint64_t macro_count = macro_dev.launchFunctional(
             macro_w.kernel, macro_w.globalSize, macro_w.localSize,
             macro_w.args);
-        if (macro_w.check)
+        if (macro_w.check) {
             EXPECT_TRUE(macro_w.check(macro_dev))
                 << "macro-stepped output wrong for " << name;
+        }
 
         Device step_dev;
         const auto step_w = workloads::make(name, step_dev, 1);

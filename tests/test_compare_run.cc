@@ -17,8 +17,7 @@
 #include "gpu/device.hh"
 #include "gpu/gpu_config.hh"
 #include "run/run.hh"
-#include "svc/engine.hh"
-#include "svc/wire.hh"
+#include "run_result_eq.hh"
 #include "workloads/registry.hh"
 
 namespace
@@ -30,51 +29,9 @@ using iwc::gpu::Device;
 using iwc::gpu::GpuConfig;
 using iwc::gpu::ivbConfig;
 using iwc::gpu::LaunchStats;
+using iwc::testsupport::expectStatsEqual;
 using iwc::workloads::make;
 using iwc::workloads::Workload;
-
-/** Field-by-field LaunchStats equality (bit-identity gate). */
-void
-expectStatsEqual(const LaunchStats &a, const LaunchStats &b,
-                 const std::string &what)
-{
-    EXPECT_EQ(a.totalCycles, b.totalCycles) << what;
-    EXPECT_EQ(a.eu.instructions, b.eu.instructions) << what;
-    EXPECT_EQ(a.eu.aluInstructions, b.eu.aluInstructions) << what;
-    EXPECT_EQ(a.eu.sendInstructions, b.eu.sendInstructions) << what;
-    EXPECT_EQ(a.eu.ctrlInstructions, b.eu.ctrlInstructions) << what;
-    EXPECT_EQ(a.eu.sumActiveLanes, b.eu.sumActiveLanes) << what;
-    EXPECT_EQ(a.eu.sumSimdWidth, b.eu.sumSimdWidth) << what;
-    for (unsigned m = 0; m < iwc::compaction::kNumModes; ++m)
-        EXPECT_EQ(a.eu.euCyclesByMode[m], b.eu.euCyclesByMode[m])
-            << what << " mode " << m;
-    for (unsigned u = 0; u < iwc::compaction::kNumUtilBins; ++u)
-        EXPECT_EQ(a.eu.utilBins[u], b.eu.utilBins[u])
-            << what << " bin " << u;
-    EXPECT_EQ(a.eu.memMessages, b.eu.memMessages) << what;
-    EXPECT_EQ(a.eu.memLines, b.eu.memLines) << what;
-    EXPECT_EQ(a.eu.slmMessages, b.eu.slmMessages) << what;
-    EXPECT_EQ(a.eu.sccSwizzledLanes, b.eu.sccSwizzledLanes) << what;
-    EXPECT_EQ(a.eu.issueSlotsUsed, b.eu.issueSlotsUsed) << what;
-    EXPECT_EQ(a.eu.threadsRetired, b.eu.threadsRetired) << what;
-    EXPECT_EQ(a.fpuBusyCycles, b.fpuBusyCycles) << what;
-    EXPECT_EQ(a.emBusyCycles, b.emBusyCycles) << what;
-    EXPECT_EQ(a.l3Hits, b.l3Hits) << what;
-    EXPECT_EQ(a.l3Misses, b.l3Misses) << what;
-    EXPECT_EQ(a.llcHits, b.llcHits) << what;
-    EXPECT_EQ(a.llcMisses, b.llcMisses) << what;
-    EXPECT_EQ(a.dramLines, b.dramLines) << what;
-    EXPECT_EQ(a.dcLines, b.dcLines) << what;
-    EXPECT_EQ(a.slmAccesses, b.slmAccesses) << what;
-    EXPECT_DOUBLE_EQ(a.avgLinesPerMessage, b.avgLinesPerMessage)
-        << what;
-    EXPECT_EQ(a.planCacheHits, b.planCacheHits) << what;
-    EXPECT_EQ(a.planCacheMisses, b.planCacheMisses) << what;
-    EXPECT_EQ(a.idleCyclesSkipped, b.idleCyclesSkipped) << what;
-    EXPECT_EQ(a.idleSkips, b.idleSkips) << what;
-    EXPECT_EQ(a.workgroups, b.workgroups) << what;
-    EXPECT_EQ(a.threads, b.threads) << what;
-}
 
 constexpr Mode kModes[] = {Mode::Baseline, Mode::IvbOpt, Mode::Bcc,
                            Mode::Scc};
@@ -192,43 +149,6 @@ TEST(CompareRun, SharesBuildAcrossModesAndRepeats)
     executeRun(compare);
     EXPECT_EQ(predecode.misses() - pre1, 0u);
     EXPECT_EQ(plans.misses() - plan1, 0u);
-}
-
-// Compare requests round-trip through the service daemon: the wire
-// encoding survives decode, a repeat submission is served from the
-// result cache with byte-identical bytes, and both equal a local
-// execution of the same request.
-TEST(CompareRun, DaemonRoundTripBitIdentical)
-{
-    iwc::svc::EngineOptions options;
-    options.workers = 1;
-    iwc::svc::Engine engine(options);
-    engine.start();
-
-    const RunRequest request =
-        RunRequest::timingCompare("dp", ivbConfig());
-    const iwc::svc::Reply first = engine.call(request);
-    ASSERT_EQ(first.status, iwc::svc::Status::Ok) << first.message;
-    ASSERT_TRUE(first.result);
-
-    const iwc::svc::Reply cached = engine.call(request);
-    ASSERT_EQ(cached.status, iwc::svc::Status::Ok);
-    ASSERT_TRUE(cached.result);
-    EXPECT_EQ(*first.result, *cached.result);
-    EXPECT_GE(engine.stats().cacheHits, 1u);
-
-    EXPECT_EQ(*first.result,
-              iwc::svc::encodeRunResult(executeRun(request)));
-
-    RunResult decoded;
-    ASSERT_TRUE(iwc::svc::decodeRunResult(*first.result, decoded));
-    ASSERT_EQ(decoded.compare.size(), iwc::compaction::kNumModes);
-    const RunResult local = executeRun(request);
-    for (unsigned m = 0; m < iwc::compaction::kNumModes; ++m)
-        expectStatsEqual(decoded.compare[m].stats,
-                         local.compare[m].stats,
-                         "decoded mode " + std::to_string(m));
-    engine.stop();
 }
 
 } // namespace

@@ -30,8 +30,9 @@ runTiming(const std::string &name, Mode mode, bool check = true,
     Workload w = make(name, dev, 1);
     const LaunchStats stats =
         dev.launch(w.kernel, w.globalSize, w.localSize, w.args);
-    if (check)
+    if (check) {
         EXPECT_TRUE(w.check(dev)) << name;
+    }
     return stats;
 }
 

@@ -4,8 +4,7 @@
  * next-event calendar must reproduce the reference per-cycle polling
  * loop bit for bit — every LaunchStats field, every workload, every
  * compaction mode, both functional backends. "Bit-identical" is
- * checked as byte-equal wire encodings (svc::encodeRunResult), the
- * same canonical representation the result cache stores.
+ * checked field by field over the whole RunResult (run_result_eq.hh).
  *
  * Also gates SweepRunner determinism: a jobs=4 run returns results
  * byte-identical to jobs=1 and to serial executeRun calls, including
@@ -21,7 +20,7 @@
 #include "gpu/gpu_config.hh"
 #include "run/run.hh"
 #include "run/sweep_runner.hh"
-#include "svc/wire.hh"
+#include "run_result_eq.hh"
 #include "workloads/registry.hh"
 
 namespace
@@ -37,7 +36,7 @@ using iwc::run::RunRequest;
 using iwc::run::RunResult;
 using iwc::run::SweepOptions;
 using iwc::run::SweepRunner;
-using iwc::svc::encodeRunResult;
+using iwc::testsupport::expectResultsEqual;
 
 std::vector<std::string>
 allWorkloads()
@@ -68,13 +67,14 @@ TEST_P(SimEngines, EventMatchesReferenceEveryModeAndBackend)
             req.backend = backend;
 
             req.config.engine = SimEngine::Reference;
-            const std::string ref = encodeRunResult(executeRun(req));
+            const RunResult ref = executeRun(req);
             req.config.engine = SimEngine::Event;
-            const std::string event = encodeRunResult(executeRun(req));
+            const RunResult event = executeRun(req);
 
-            EXPECT_EQ(ref, event)
-                << name << " mode " << m << " backend "
-                << iwc::func::backendKindName(backend);
+            expectResultsEqual(
+                ref, event,
+                name + " mode " + std::to_string(m) + " backend " +
+                    iwc::func::backendKindName(backend));
         }
     }
 }
@@ -111,10 +111,10 @@ TEST(SweepDeterminism, ParallelRunBitIdenticalToSerialAndDirect)
     ASSERT_EQ(a.size(), requests.size());
     ASSERT_EQ(b.size(), requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
-        const std::string direct =
-            encodeRunResult(executeRun(requests[i]));
-        EXPECT_EQ(encodeRunResult(a[i]), direct) << "request " << i;
-        EXPECT_EQ(encodeRunResult(b[i]), direct) << "request " << i;
+        const RunResult direct = executeRun(requests[i]);
+        const std::string what = "request " + std::to_string(i);
+        expectResultsEqual(a[i], direct, what + " serial");
+        expectResultsEqual(b[i], direct, what + " parallel");
     }
 
     // The three mode-quads each ran as ONE compare job per runner.
